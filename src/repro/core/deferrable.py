@@ -147,21 +147,24 @@ class DeferrableTaskServer(TaskServer):
         remaining capacity bridges the gap — in which case the budget is
         ``remaining + full capacity`` (the paper's end-of-period rule).
         """
-        full = self.scaled_capacity_ns
         remaining = self.capacity_ns
-        margin = self.safety_margin_ns
         time_to_refill = self.next_refill_ns - now_ns
-        for release in self._queue:
-            cost = release.cost_ns + margin
-            if now_ns + cost > self.next_refill_ns:
-                if time_to_refill <= remaining and cost <= remaining + full:
-                    self._queue.remove(release)
-                    return release, remaining + full
-                continue
-            if cost <= remaining:
-                self._queue.remove(release)
-                return release, remaining
-        return None
+        # the bridge is open iff the remaining capacity lasts until the
+        # refill; then any release whose run crosses it may use
+        # remaining + full, and one that ends before it needs only
+        # cost <= remaining <= remaining + full, so both cases reduce to
+        # one first-fit query against the larger limit
+        if time_to_refill <= remaining:
+            limit = remaining + self.scaled_capacity_ns
+        else:
+            limit = remaining
+        margin = self.safety_margin_ns
+        release = self._queue.pop_first_fitting(limit - margin)
+        if release is None:
+            return None
+        if release.cost_ns + margin > time_to_refill:
+            return release, limit  # crosses the refill: the bridge budget
+        return release, remaining
 
     # -- the service loop -----------------------------------------------------------------------
 

@@ -114,6 +114,9 @@ class HandlerRelease:
         self.handler = handler
         self.release_ns = release_ns
         self.release_id = next(_release_counter)
+        #: declared cost (what the server budgets for); a plain attribute
+        #: because the handler's declared cost is fixed at construction
+        self.cost_ns = handler.cost_ns
         #: the firing ServableAsyncEvent (overload feedback path: a shed
         #: or interrupted release reports failure to the source's breaker)
         self.source: "ServableAsyncEvent | None" = None
@@ -123,13 +126,8 @@ class HandlerRelease:
             name=f"{handler.name}@{release_ns / 1_000_000:g}",
             release=release_ns / 1_000_000,
             cost=handler.actual_cost.total_nanos / 1_000_000,
-            declared_cost=handler.cost_ns / 1_000_000,
+            declared_cost=self.cost_ns / 1_000_000,
         )
-
-    @property
-    def cost_ns(self) -> int:
-        """Declared cost (what the server budgets for)."""
-        return self.handler.cost_ns
 
     def __repr__(self) -> str:
         return f"<HandlerRelease {self.job.name}>"

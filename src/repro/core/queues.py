@@ -87,6 +87,12 @@ class _QueueBoundNs:
         return True
 
 
+#: leaf value of a free or tombstoned slot: fits no limit
+_VACANT = float("inf")
+#: smallest slot capacity of the index (a power of two)
+_MIN_SLOTS = 16
+
+
 class PendingQueue(Generic[T]):
     """FIFO queue with cost-aware first-fit selection.
 
@@ -95,6 +101,16 @@ class PendingQueue(Generic[T]):
     returns the list of items it shed to respect the bound — possibly
     the new item itself — instead of growing without limit.  Unbounded
     (the default), :meth:`add` always accepts and returns ``[]``.
+
+    Items are kept in insertion *slots*: ``_items[s]`` is the item in
+    slot ``s``, or ``None`` once it has been removed (a tombstone), so
+    slot order is FIFO order.  A min-cost segment tree over the slots
+    answers :meth:`choose_first_fitting` by one root-to-leaf descent,
+    O(log n); :meth:`remove` tombstones a slot in O(log n); :meth:`add`
+    fills the next slot in O(log n) and, when the slots run out,
+    compacts the live items into a fresh index sized to twice their
+    count (amortised O(1) per add).  Items are tracked by identity: an
+    item may be queued at most once at a time.
     """
 
     def __init__(
@@ -103,7 +119,17 @@ class PendingQueue(Generic[T]):
         max_cost_ns: int | None = None,
         policy: str = "reject-new",
     ) -> None:
-        self._items: deque[T] = deque()
+        #: slot -> item, ``None`` for a tombstone; append-only between
+        #: compactions
+        self._items: list[T | None] = []
+        #: id(item) -> slot, for the live items
+        self._slot_of: dict[int, int] = {}
+        #: first slot that may still be live (peek's lazy cursor)
+        self._head = 0
+        self._slots = _MIN_SLOTS
+        #: min-cost segment tree: node ``i`` has children ``2i``/``2i+1``,
+        #: slot ``s`` is leaf ``_slots + s``
+        self._tree: list[float] = [_VACANT] * (2 * _MIN_SLOTS)
         self._total_ns = 0
         self._bound = (
             _QueueBoundNs(max_items, max_cost_ns, policy)
@@ -112,19 +138,56 @@ class PendingQueue(Generic[T]):
         )
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._slot_of)
 
     def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
+        return (item for item in self._items if item is not None)
 
     @property
     def empty(self) -> bool:
-        return not self._items
+        return not self._slot_of
 
     @property
     def total_cost_ns(self) -> int:
         """Sum of the queued items' declared costs."""
         return self._total_ns
+
+    def _append(self, item: T) -> None:
+        """Put ``item`` in the next free slot."""
+        key = id(item)
+        if key in self._slot_of:
+            raise ValueError("item already queued")
+        if len(self._items) == self._slots:
+            self._compact()
+        slot = len(self._items)
+        self._items.append(item)
+        self._slot_of[key] = slot
+        cost = item.cost_ns
+        self._total_ns += cost
+        # a new leaf can only lower its ancestors' minima
+        tree = self._tree
+        node = self._slots + slot
+        while node and tree[node] > cost:
+            tree[node] = cost
+            node >>= 1
+
+    def _compact(self) -> None:
+        """Re-slot the live items from 0, in FIFO order, into an index
+        with room for as many again."""
+        live = [item for item in self._items if item is not None]
+        slots = _MIN_SLOTS
+        while slots < 2 * len(live):
+            slots *= 2
+        tree = [_VACANT] * (2 * slots)
+        tree[slots:slots + len(live)] = [item.cost_ns for item in live]
+        for node in range(slots - 1, 0, -1):
+            left, right = tree[2 * node], tree[2 * node + 1]
+            tree[node] = left if left < right else right
+        self._items = live
+        self._slot_of = {id(item): slot for slot, item in enumerate(live)}
+        self._head = 0
+        self._slots = slots
+        self._tree = tree
 
     def add(self, item: T) -> list[T]:
         """Append in release order; returns the items shed (if bounded).
@@ -137,34 +200,35 @@ class PendingQueue(Generic[T]):
         incoming one.
         """
         bound = self._bound
-        if bound is None:
-            self._items.append(item)
-            self._total_ns += item.cost_ns
-            return []
-        if bound.fits(len(self._items) + 1, self._total_ns + item.cost_ns):
-            self._items.append(item)
-            self._total_ns += item.cost_ns
+        if bound is None or bound.fits(
+            len(self._slot_of) + 1, self._total_ns + item.cost_ns
+        ):
+            self._append(item)
             return []
         if bound.policy == "reject-new":
             return [item]
-        self._items.append(item)
-        self._total_ns += item.cost_ns
+        self._append(item)
         shed: list[T] = []
-        while self._items and not bound.fits(
-            len(self._items), self._total_ns
+        while self._slot_of and not bound.fits(
+            len(self._slot_of), self._total_ns
         ):
             if bound.policy == "drop-oldest":
-                victim = self._items[0]
+                victim = self.peek()
             else:  # drop-lowest-value
-                victim = min(self._items, key=_value_density)
-            self._items.remove(victim)
-            self._total_ns -= victim.cost_ns
+                victim = min(self, key=_value_density)
+            self.remove(victim)
             shed.append(victim)
         return shed
 
     def peek(self) -> T | None:
         """The head item (strict FIFO view), or ``None``."""
-        return self._items[0] if self._items else None
+        if not self._slot_of:
+            return None
+        items, head = self._items, self._head
+        while items[head] is None:
+            head += 1
+        self._head = head
+        return items[head]
 
     def choose_first_fitting(self, limit_ns: int) -> T | None:
         """First item with ``cost_ns <= limit_ns``, without removing it.
@@ -172,17 +236,38 @@ class PendingQueue(Generic[T]):
         This implements the paper's ``chooseNextEvent()``: "the first
         handler in the list which has a cost lower than the remaining
         capacity", which deliberately lets later cheap events overtake
-        earlier expensive ones.
+        earlier expensive ones.  The descent keeps left of every subtree
+        whose minimum fits, so it lands on the leftmost fitting slot.
         """
-        for item in self._items:
-            if item.cost_ns <= limit_ns:
-                return item
-        return None
+        tree = self._tree
+        if tree[1] > limit_ns:
+            return None
+        slots = self._slots
+        node = 1
+        while node < slots:
+            node <<= 1
+            if tree[node] > limit_ns:
+                node += 1
+        return self._items[node - slots]
 
     def remove(self, item: T) -> None:
         """Remove a specific item (raises ``ValueError`` if absent)."""
-        self._items.remove(item)
+        slot = self._slot_of.pop(id(item), None)
+        if slot is None:
+            raise ValueError("item not queued")
+        self._items[slot] = None
         self._total_ns -= item.cost_ns
+        tree = self._tree
+        node = self._slots + slot
+        tree[node] = _VACANT
+        node >>= 1
+        while node:
+            left, right = tree[2 * node], tree[2 * node + 1]
+            low = left if left < right else right
+            if tree[node] == low:
+                break  # unchanged here, so unchanged above
+            tree[node] = low
+            node >>= 1
 
     def pop_first_fitting(self, limit_ns: int) -> T | None:
         """Remove and return the first fitting item."""
@@ -208,7 +293,7 @@ class BucketPlacement:
 
 @dataclass
 class _Bucket(Generic[T]):
-    items: list[T] = field(default_factory=list)
+    items: deque[T] = field(default_factory=deque)
     #: declared cost of the items currently queued (falls as items pop)
     total_ns: int = 0
     #: declared cost ever packed into this bucket (never decremented):
@@ -242,6 +327,8 @@ class InstanceBucketQueue(Generic[T]):
         self._buckets: deque[_Bucket[T]] = deque()
         #: index (in absolute served-instance count) of the head bucket
         self._head_instance = 0
+        #: queued (not yet popped or shed) items across all buckets
+        self._count = 0
         self._total_ns = 0
         self._bound = (
             _QueueBoundNs(max_items, max_cost_ns, policy)
@@ -250,7 +337,7 @@ class InstanceBucketQueue(Generic[T]):
         )
 
     def __len__(self) -> int:
-        return sum(len(b.items) for b in self._buckets)
+        return self._count
 
     @property
     def total_cost_ns(self) -> int:
@@ -297,6 +384,7 @@ class InstanceBucketQueue(Generic[T]):
         bucket.items.append(item)
         bucket.total_ns += item.cost_ns
         bucket.claimed_ns += item.cost_ns
+        self._count += 1
         self._total_ns += item.cost_ns
         return placement
 
@@ -320,14 +408,14 @@ class InstanceBucketQueue(Generic[T]):
             return None, [item]
         bound = self._bound
         if bound is None or bound.fits(
-            len(self) + 1, self._total_ns + item.cost_ns
+            self._count + 1, self._total_ns + item.cost_ns
         ):
             return self.add(item), []
         if bound.policy == "reject-new":
             return None, [item]
         placement = self.add(item)
         shed: list[T] = []
-        while self._buckets and not bound.fits(len(self), self._total_ns):
+        while self._buckets and not bound.fits(self._count, self._total_ns):
             if bound.policy == "drop-oldest":
                 victim = self.pop_current()
             else:  # drop-lowest-value
@@ -347,15 +435,17 @@ class InstanceBucketQueue(Generic[T]):
             if item in bucket.items:
                 bucket.items.remove(item)
                 bucket.total_ns -= item.cost_ns
+                self._count -= 1
                 self._total_ns -= item.cost_ns
                 self._prune_head()
                 return
         raise ValueError("item not queued")
 
     def _prune_head(self) -> None:
-        """Drop head buckets emptied by shedding (their leftover claim
-        would otherwise stall ``peek_current``; serving the next bucket
-        early only improves on its placement's upper bound)."""
+        """Drop empty head buckets, drained by service or emptied by
+        shedding (a shed bucket's leftover claim would otherwise stall
+        ``peek_current``; serving the next bucket early only improves on
+        its placement's upper bound)."""
         while self._buckets and not self._buckets[0].items:
             self._buckets.popleft()
             self._head_instance += 1
@@ -370,12 +460,12 @@ class InstanceBucketQueue(Generic[T]):
         if not self._buckets:
             raise IndexError("pop from an empty InstanceBucketQueue")
         bucket = self._buckets[0]
-        item = bucket.items.pop(0)
+        item = bucket.items.popleft()
         bucket.total_ns -= item.cost_ns
+        self._count -= 1
         self._total_ns -= item.cost_ns
-        if not bucket.items:
-            self._buckets.popleft()
-            self._head_instance += 1
+        # also skips buckets behind it that shedding already emptied
+        self._prune_head()
         return item
 
     def advance_instance(self) -> None:

@@ -78,6 +78,9 @@ class TaskServer(Schedulable, ABC):
         self.vm: RTSJVirtualMachine | None = None
         self.horizon_ns: int | None = None
         self.handlers: list[ServableAsyncEventHandler] = []
+        #: membership index over ``handlers`` (one handler per generated
+        #: event on campaign systems, so a list scan per release is O(n))
+        self._handler_set: set[ServableAsyncEventHandler] = set()
         #: handlers declared costlier than the capacity (never serveable
         #: by a PS; serveable by a DS only through the refill bridge)
         self.oversized_handlers: list[ServableAsyncEventHandler] = []
@@ -126,7 +129,8 @@ class TaskServer(Schedulable, ABC):
         the end-of-period bridge if it fits twice the capacity).  The
         ``oversized_handlers`` list records them for diagnosis.
         """
-        if handler not in self.handlers:
+        if handler not in self._handler_set:
+            self._handler_set.add(handler)
             self.handlers.append(handler)
             if handler.cost_ns > self.params.capacity_ns:
                 self.oversized_handlers.append(handler)
@@ -201,7 +205,7 @@ class TaskServer(Schedulable, ABC):
         source=None,
     ) -> None:
         """Called by ``ServableAsyncEvent.fire()`` for each bound SAEH."""
-        if handler not in self.handlers:
+        if handler not in self._handler_set:
             raise ValueError(
                 f"handler {handler.name!r} is not associated with server "
                 f"{self.name!r}"

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import pytest
 
-from repro.core.queues import BucketPlacement, InstanceBucketQueue, PendingQueue
+from repro.core.queues import (
+    SHED_POLICIES,
+    BucketPlacement,
+    InstanceBucketQueue,
+    PendingQueue,
+)
 
 
 @dataclass
@@ -140,3 +146,65 @@ class TestInstanceBucketQueue:
         q.advance_instance()
         assert q.head_instance == 0
         assert not q.empty
+
+
+def _bucket_items(q: InstanceBucketQueue) -> list:
+    return [item for bucket in q._buckets for item in bucket.items]
+
+
+class TestInstanceBucketQueueLength:
+    """``len()`` is a running count; it must match the buckets' contents
+    across every mutating path."""
+
+    def test_len_through_add_pop_and_advance(self):
+        q = InstanceBucketQueue(capacity_ns=5)
+        for cost in (2, 3, 4, 1, 5, 2):
+            q.add(Item(cost))
+            assert len(q) == len(_bucket_items(q))
+        while len(q):
+            q.pop_current()
+            q.advance_instance()
+            assert len(q) == len(_bucket_items(q))
+        q.advance_instance()
+        assert len(q) == 0 and q.empty
+
+    def test_len_through_shed_in_place(self):
+        q = InstanceBucketQueue(capacity_ns=6)
+        items = [Item(c) for c in (3, 3, 2, 4, 1)]
+        for item in items:
+            q.add(item)
+        for item in (items[2], items[0], items[1]):
+            q._shed_in_place(item)
+            assert len(q) == len(_bucket_items(q))
+        with pytest.raises(ValueError):
+            q._shed_in_place(items[0])
+        assert len(q) == 2
+
+    def test_pop_skips_a_bucket_emptied_by_shedding(self):
+        q = InstanceBucketQueue(capacity_ns=5)
+        a, b, c = Item(5, "a"), Item(5, "b"), Item(5, "c")
+        for item in (a, b, c):
+            q.add(item)
+        q._shed_in_place(b)  # empties the middle bucket
+        assert q.pop_current() is a
+        assert q.peek_current() is c
+        assert q.pop_current() is c
+        assert len(q) == 0 and q.empty
+
+    @pytest.mark.parametrize("policy", SHED_POLICIES)
+    def test_len_through_offer_with_shedding(self, policy):
+        rng = random.Random(7)
+        q = InstanceBucketQueue(capacity_ns=10, max_items=4, max_cost_ns=25,
+                                policy=policy)
+        for step in range(300):
+            roll = rng.random()
+            if roll < 0.6:
+                q.offer(Item(rng.randint(1, 12), f"i{step}"))
+            elif roll < 0.8 and len(q):
+                q.pop_current()
+            elif roll < 0.9 and len(q):
+                q._shed_in_place(rng.choice(_bucket_items(q)))
+            else:
+                q.advance_instance()
+            assert len(q) == len(_bucket_items(q))
+            assert q.total_cost_ns == sum(i.cost_ns for i in _bucket_items(q))
