@@ -11,10 +11,11 @@ sweep machine:
   (:func:`repro.experiments.campaign._parallel_map`) and fold back in
   deterministic shard order, so tables are bit-identical to a
   one-worker sweep;
-* the parent appends one JSONL record per finished shard (flushed +
-  fsynced); an interrupted sweep resumes from the checkpoint, skipping
-  completed shards — a truncated final line (a mid-write kill) is
-  skipped and that shard simply re-runs;
+* the parent appends one CRC'd JSONL record per finished shard to a
+  :class:`~repro.durable.CheckpointLog` and commits (fsyncs) it; an
+  interrupted sweep resumes from the checkpoint, skipping completed
+  shards — a torn final line (a mid-write kill) is skipped and that
+  shard simply re-runs;
 * every shard cross-validates a seeded sample of its systems (at least
   ``verify_fraction`` of the shard, default 5%) against the per-system
   reference kernel via
@@ -27,15 +28,14 @@ sweep machine:
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ..durable import CheckpointLog
 from ..sim.metrics import RunMetrics, SetMetrics, aggregate
 from ..workload.generator import PAPER_SETS, RandomSystemGenerator
 from ..workload.rng import PortableRandom
@@ -245,43 +245,6 @@ def _batch_shard_worker(task: tuple) -> dict:
     return record.to_dict()
 
 
-def _load_shard_checkpoint(path: Path) -> dict[tuple, BatchShardRecord]:
-    """Completed shard records keyed ``(set_key, shard)``; skips the
-    truncated final line a mid-write kill can leave behind."""
-    done: dict[tuple, BatchShardRecord] = {}
-    if not path.exists():
-        return done
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = BatchShardRecord.from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError):
-                continue
-            done[(record.set_key, record.shard)] = record
-    return done
-
-
-def _append_shard_checkpoint(path: Path | None,
-                             record: BatchShardRecord) -> None:
-    """Durably append one shard record (parent process only)."""
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    prefix = ""
-    if path.exists() and path.stat().st_size:
-        with path.open("rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                prefix = "\n"
-    with path.open("a") as fh:
-        fh.write(prefix + json.dumps(record.to_dict()) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
 def run_batched_campaign(
     sets: tuple[GenerationParameters, ...] = PAPER_SETS,
     arms: tuple[str, ...] = BATCH_ARMS,
@@ -341,8 +304,17 @@ def run_batched_campaign(
                 f"{', '.join(BATCH_ARMS)}); use run_campaign for "
                 "execution arms"
             )
-    path = Path(checkpoint_path) if checkpoint_path is not None else None
-    checkpointed = _load_shard_checkpoint(path) if path is not None else {}
+    log = (
+        CheckpointLog(checkpoint_path) if checkpoint_path is not None
+        else None
+    )
+    checkpointed: dict[tuple, BatchShardRecord] = {}
+    for op in log.load() if log is not None else ():
+        try:
+            record = BatchShardRecord.from_dict(op)
+        except (KeyError, TypeError, ValueError):
+            continue  # not a shard record: that shard re-runs
+        checkpointed[(record.set_key, record.shard)] = record
 
     # deterministic shard plan: set-major, ascending start index
     plan: list[tuple] = []
@@ -374,39 +346,45 @@ def run_batched_campaign(
     # the same order aggregate()'s Python sum() uses
     acc: dict[tuple, list] = {}
     set_order: list[tuple[float, float]] = []
-    for task in plan:
-        params, _, shard = task[0], task[1], task[2]
-        key = (params.task_density, params.std_deviation)
-        if key not in set_order:
-            set_order.append(key)
-        cached = checkpointed.get((key, shard))
-        if cached is not None:
-            record = cached
-            record.status = "resumed"
-            result.resumed += 1
-        else:
-            record = BatchShardRecord.from_dict(next(fresh))
-            _append_shard_checkpoint(path, record)
-        result.systems += record.count
-        result.fallbacks += record.fallbacks
-        result.verified += record.verified
-        for arm in arms:
-            runs = record.metrics.get(arm, ())
-            slot = acc.setdefault(
-                (key, arm), [0, 0.0, 0.0, 0.0, [] if keep_runs else None]
-            )
-            for m in runs:
-                slot[0] += 1
-                slot[1] += m.average_response_time
-                slot[2] += m.interrupted_ratio
-                slot[3] += m.served_ratio
-                if slot[4] is not None:
-                    slot[4].append(m)
-        if not keep_runs:
-            record.metrics = {}
-        result.shards.append(record)
-        if progress is not None:
-            progress(record)
+    try:
+        for task in plan:
+            params, _, shard = task[0], task[1], task[2]
+            key = (params.task_density, params.std_deviation)
+            if key not in set_order:
+                set_order.append(key)
+            cached = checkpointed.get((key, shard))
+            if cached is not None:
+                record = cached
+                record.status = "resumed"
+                result.resumed += 1
+            else:
+                record = BatchShardRecord.from_dict(next(fresh))
+                if log is not None:
+                    log.append(record.to_dict())
+                    log.commit()
+            result.systems += record.count
+            result.fallbacks += record.fallbacks
+            result.verified += record.verified
+            for arm in arms:
+                runs = record.metrics.get(arm, ())
+                slot = acc.setdefault(
+                    (key, arm), [0, 0.0, 0.0, 0.0, [] if keep_runs else None]
+                )
+                for m in runs:
+                    slot[0] += 1
+                    slot[1] += m.average_response_time
+                    slot[2] += m.interrupted_ratio
+                    slot[3] += m.served_ratio
+                    if slot[4] is not None:
+                        slot[4].append(m)
+            if not keep_runs:
+                record.metrics = {}
+            result.shards.append(record)
+            if progress is not None:
+                progress(record)
+    finally:
+        if log is not None:
+            log.close()
 
     for key in set_order:
         for arm in arms:

@@ -15,10 +15,8 @@ Both arms consume byte-identical workloads from
 
 from __future__ import annotations
 
-import json
 import logging
 import multiprocessing
-import os
 import signal
 import threading
 import traceback
@@ -60,6 +58,7 @@ from ..sim import (
     aggregate,
     measure_run,
 )
+from ..durable import CheckpointLog
 from ..overload.metrics import OverloadReport, measure_overload
 from ..service.backoff import DEFAULT_BACKOFF
 from ..sim.servers.base import AperiodicServer
@@ -595,49 +594,36 @@ def _arm_extras(verify: bool, trace_mode: str | None,
     return ()
 
 
-def _load_checkpoint(path: Path) -> dict[tuple, RunRecord]:
-    """Load completed run records from a JSONL checkpoint file."""
-    done: dict[tuple, RunRecord] = {}
-    if not path.exists():
-        return done
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = RunRecord.from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError):
-                # a run killed mid-write leaves a truncated final line;
-                # skip it — that run simply re-executes and re-appends
-                continue
-            done[(record.arm, record.set_key, record.system_id)] = record
-    return done
+def _open_checkpoint(
+    path: Path | None,
+) -> tuple[CheckpointLog | None, dict[tuple, RunRecord]]:
+    """The sweep's checkpoint log and the run records it already holds,
+    keyed ``(arm, set key, system id)``.  Without a path there is no log
+    object at all.
 
-
-def _append_checkpoint(path: Path | None, record: RunRecord) -> None:
-    """Append one record, durably: a single write, flushed and fsynced.
-
-    Only the campaign *parent* process ever calls this (worker processes
+    Only the campaign *parent* process writes the log (worker processes
     run with ``checkpoint_path=None``), so concurrent sweeps cannot
-    interleave partial lines and a crash leaves at most one truncated
-    final line — which :func:`_load_checkpoint` skips on resume.
-    """
+    interleave partial lines.  A line a crash tore mid-write, or one
+    that is not a run record, is skipped — that run simply re-executes
+    and re-appends."""
     if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    prefix = ""
-    if path.exists() and path.stat().st_size:
-        # a crash can leave a truncated final line with no newline;
-        # isolate it so the new record starts on a line of its own
-        with path.open("rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                prefix = "\n"
-    with path.open("a") as fh:
-        fh.write(prefix + json.dumps(record.to_dict()) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+        return None, {}
+    log = CheckpointLog(path)
+    done: dict[tuple, RunRecord] = {}
+    for op in log.load():
+        try:
+            record = RunRecord.from_dict(op)
+        except (KeyError, TypeError, ValueError):
+            continue
+        done[(record.arm, record.set_key, record.system_id)] = record
+    return log, done
+
+
+def _checkpoint(log: CheckpointLog | None, record: RunRecord) -> None:
+    """Make one finished run durable on its own: append, then commit."""
+    if log is not None:
+        log.append(record.to_dict())
+        log.commit()
 
 
 def _parallel_map(fn, tasks: list, workers: int,
@@ -783,8 +769,8 @@ def run_campaign(
     every run is still generated from the same master-seed fan-out and
     results are folded back in sequential order, so tables and records
     are bit-identical to a one-worker sweep; checkpoint lines are
-    written (flushed + fsynced) by this parent process only.  Everything
-    defaults to the paper-faithful golden path.
+    written, each committed (fsynced), by this parent process only.
+    Everything defaults to the paper-faithful golden path.
 
     ``batch`` routes the sim arms through the vectorized
     structure-of-arrays kernel (:mod:`repro.batch`): ``"off"`` (default)
@@ -809,11 +795,7 @@ def run_campaign(
         )
     result = CampaignResult(tables={arm: {} for arm in arms})
     policy = run_policy if run_policy is not None else RunPolicy()
-    checkpointed = (
-        _load_checkpoint(policy.checkpoint_path)
-        if policy.checkpoint_path is not None
-        else {}
-    )
+    log, checkpointed = _open_checkpoint(policy.checkpoint_path)
     hardened = run_policy is not None
     # workers never see the checkpoint path: the parent is the only writer
     worker_policy = _replace(policy, checkpoint_path=None)
@@ -903,26 +885,30 @@ def run_campaign(
     ))
 
     per_set: dict[tuple[float, float], dict[str, list[RunMetrics]]] = {}
-    for slot, (params, arm, system_id, source) in zip(pending, order):
-        key = (params.task_density, params.std_deviation)
-        per_arm = per_set.setdefault(key, {a: [] for a in arms})
-        if source == "checkpoint":
-            record = checkpointed[(arm, key, system_id)]
-        elif source == "batch":
-            record = RunRecord(
-                arm=arm, set_key=key, system_id=system_id,
-                status="ok", metrics=batch_metrics[(arm, key, system_id)],
-            )
+    try:
+        for slot, (params, arm, system_id, source) in zip(pending, order):
+            key = (params.task_density, params.std_deviation)
+            per_arm = per_set.setdefault(key, {a: [] for a in arms})
+            if source == "checkpoint":
+                record = checkpointed[(arm, key, system_id)]
+            else:
+                if source == "batch":
+                    record = RunRecord(
+                        arm=arm, set_key=key, system_id=system_id,
+                        status="ok",
+                        metrics=batch_metrics[(arm, key, system_id)],
+                    )
+                else:
+                    record = next(fresh)
+                if hardened:
+                    _checkpoint(log, record)
             if hardened:
-                _append_checkpoint(policy.checkpoint_path, record)
-        else:
-            record = next(fresh)
-            if hardened:
-                _append_checkpoint(policy.checkpoint_path, record)
-        if hardened:
-            result.records.append(record)
-        if record.metrics is not None:
-            per_arm[arm].append(record.metrics)
+                result.records.append(record)
+            if record.metrics is not None:
+                per_arm[arm].append(record.metrics)
+    finally:
+        if log is not None:
+            log.close()
     for params, _ in generated:
         key = (params.task_density, params.std_deviation)
         for arm in arms:
@@ -1120,11 +1106,7 @@ def run_overload_campaign(
     if burst is None:
         burst = EventBurst(extra=3, probability=0.5, spacing=0.05)
     policy = run_policy if run_policy is not None else RunPolicy()
-    checkpointed = (
-        _load_checkpoint(policy.checkpoint_path)
-        if policy.checkpoint_path is not None
-        else {}
-    )
+    log, checkpointed = _open_checkpoint(policy.checkpoint_path)
     worker_policy = _replace(policy, checkpoint_path=None)
 
     order: list[tuple[GenerationParameters, str, int, bool]] = []
@@ -1149,15 +1131,19 @@ def run_overload_campaign(
     ))
 
     result = OverloadCampaignResult()
-    for slot, (params, arm, system_id, cached) in zip(pending, order):
-        key = (params.task_density, params.std_deviation)
-        if cached:
-            record = checkpointed[(arm, key, system_id)]
-        else:
-            record = next(fresh)
-            _append_checkpoint(policy.checkpoint_path, record)
-        result.records.append(record)
-        run = _overload_run_from_record(record)
-        if run is not None:
-            result.runs.append(run)
+    try:
+        for slot, (params, arm, system_id, cached) in zip(pending, order):
+            key = (params.task_density, params.std_deviation)
+            if cached:
+                record = checkpointed[(arm, key, system_id)]
+            else:
+                record = next(fresh)
+                _checkpoint(log, record)
+            result.records.append(record)
+            run = _overload_run_from_record(record)
+            if run is not None:
+                result.runs.append(run)
+    finally:
+        if log is not None:
+            log.close()
     return result

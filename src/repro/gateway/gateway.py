@@ -15,13 +15,17 @@ runs an :class:`~repro.service.AdmissionService` (or a PR 8
   construction, and watched: a stalled loop or suspended process
   registers as a :class:`~repro.service.ClockPause` which the gateway
   feeds into the digital twin as a heartbeat-miss divergence.
-* **crash safety** — an at-least-once ingestion journal (same CRC'd
-  JSONL discipline as the service checkpoint) records every frame's
-  (stamp, request) before submission and the decision after it.  A
-  killed gateway restores by replaying the journal against the restored
-  service: decided entries re-seed the idempotency cache, undecided
-  ones are re-submitted *at their original stamps* — never a double
-  admission.
+* **crash safety** — an at-least-once ingestion journal (a
+  :class:`~repro.durable.CheckpointLog`, like the service checkpoint)
+  records every frame's (stamp, request) before submission and the
+  decision after it.  Every record reaches the OS as it is appended;
+  two commit barriers fsync per request — the journal after ``ingest``
+  (a durable admit always has a durable ingest) and, before the ticket
+  frame is written, the service checkpoint after an ``admit`` or the
+  journal after any other ``decided``.  A killed gateway restores by
+  replaying the journal against the restored service: decided entries
+  re-seed the idempotency cache, undecided ones are re-submitted *at
+  their original stamps* — never a double admission.
 * **determinism under jitter** — all decisions flow through one
   dispatcher, each frame is stamped exactly once, and a settle
   discipline (completions due before the stamp commit first) mirrors
@@ -226,7 +230,7 @@ class AdmissionGateway:
         if self.service is not None and self._needs_service_start():
             await self.service.start()
         if self.journal is not None and not self.journal.exists():
-            self.journal.append({
+            self._journal_lifecycle({
                 "op": "gateway_init", "t": self.clock.now(),
                 "scale": self.clock.scale, "seed": self.seed,
             })
@@ -327,10 +331,9 @@ class AdmissionGateway:
             self.replayed += 1
             del ticket  # the original client re-learns the fate by retrying
         now = self.clock.now()
-        if self.journal is not None:
-            self.journal.append({
-                "op": "restored", "t": now, "replayed": self.replayed,
-            })
+        self._journal_lifecycle({
+            "op": "restored", "t": now, "replayed": self.replayed,
+        })
         self.trace.add_event(
             now, TraceEventKind.GATEWAY_RESTORED, "gateway",
             detail=f"journal replayed {self.replayed} undecided entr"
@@ -398,6 +401,9 @@ class AdmissionGateway:
             self.journal.append(
                 {"op": "ingest", "t": stamp, "request": request.to_dict()}
             )
+            # barrier 1: the ingest is durable before the backend can
+            # make its admit durable
+            self.journal.commit()
         self.trace.add_event(
             stamp, TraceEventKind.INGEST, rid, detail=f"stamp={stamp:g}"
         )
@@ -412,6 +418,10 @@ class AdmissionGateway:
                 "op": "decided", "t": stamp, "id": rid,
                 "ticket": ticket.to_dict(),
             })
+            if ticket.decision is not Decision.ADMIT:
+                # barrier 2 for everything but an admit, whose barrier
+                # is the backend's commit of its ``admit`` record
+                self.journal.commit()
         self.trace.add_event(
             stamp, TraceEventKind.RESPONSE, rid,
             detail=ticket.decision.value
@@ -596,14 +606,17 @@ class AdmissionGateway:
     async def _drain(self) -> DrainReport | None:
         self.draining = True
         now = self.clock.now()
-        if self.journal is not None:
-            self.journal.append({"op": "drain", "t": now})
+        self._journal_lifecycle({"op": "drain", "t": now})
         self.trace.add_event(
             now, TraceEventKind.MODE_CHANGE, "gateway", detail="draining"
         )
         await self._close_listener()
         assert self._pipeline is not None
         await self._pipeline.join()   # decide everything already accepted
+        if self.journal is not None:
+            # journal before backend: every decision is durable before
+            # the backend's drain settles (and commits) what it admitted
+            self.journal.commit()
         report: DrainReport | None = None
         if self.service is not None:
             report = await self.service.drain(
@@ -611,25 +624,31 @@ class AdmissionGateway:
             )
         else:
             await self.fabric.drain()
+        # the backend's drain committed and closed its checkpoints
+        self._journal_lifecycle({"op": "drained", "t": self.clock.now()})
         if self.journal is not None:
-            self.journal.append(
-                {"op": "drained", "t": self.clock.now()}
-            )
+            self.journal.close()
         self._teardown()
         if self.terminated is not None:
             self.terminated.set()
         return report
 
     def force_exit(self) -> None:
-        """Immediate checkpoint-and-exit: the journal and write-ahead
-        checkpoint are already durable, so there is nothing to flush —
-        just stop, hard, and mark termination."""
+        """Immediate checkpoint-and-exit: every record is already with
+        the OS, so commit the journal, then the backend checkpoints,
+        close them — and stop, hard, and mark termination."""
         if self.killed:
             return
-        if self.journal is not None:
-            self.journal.append(
-                {"op": "forced_exit", "t": self.clock.now()}
-            )
+        self._journal_lifecycle(
+            {"op": "forced_exit", "t": self.clock.now()}
+        )
+        backends = (
+            [self.service] if self.service is not None
+            else [shard.service for shard in self.fabric.shards
+                  if shard.alive]
+        )
+        for service in backends:
+            service.close()
         if self._drain_task is not None and not self._drain_task.done():
             self._drain_task.cancel()
         self.kill(_journal_crash=False)
@@ -639,12 +658,15 @@ class AdmissionGateway:
     def kill(self, *, _journal_crash: bool = True) -> None:
         """Crash simulation: stop everything abruptly, mid-flight.
 
-        Nothing is written — the journal and checkpoint are the only
-        survivors, exactly as in a real power loss.
+        Nothing is written or committed and the log handles are closed
+        — the journal and checkpoint, as the OS holds them, are the only
+        survivors, exactly as in a process crash.
         """
         if self.killed:
             return
         self.killed = True
+        if self.journal is not None:
+            self.journal.close()
         self.clock.stop_watchdog()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
@@ -664,6 +686,12 @@ class AdmissionGateway:
             for shard in self.fabric.shards:
                 if shard.alive:
                     self.fabric.kill_shard(shard.index)
+
+    def _journal_lifecycle(self, op: dict) -> None:
+        """Append a lifecycle record and commit it at once."""
+        if self.journal is not None:
+            self.journal.append(op)
+            self.journal.commit()
 
     async def _close_listener(self) -> None:
         if self.server is not None:

@@ -1,14 +1,17 @@
 """Write-ahead JSONL checkpoint for the admission service.
 
 Every state mutation the service performs — admission, completion,
-deadline-guard cut, shed, re-plan, heartbeat miss — appends one durable
-JSONL record (single write, flushed and fsynced, truncated-final-line
-tolerant: the same discipline as the campaign checkpoints).  Because
-the planner and twin are deterministic functions of this op sequence,
-*replaying* the log through the very same mutation code rebuilds a twin
-whose :meth:`~repro.service.twin.DigitalTwin.state_hash` is identical
-to the live service's at the moment of the crash — the restart test's
-acceptance criterion.
+deadline-guard cut, shed, re-plan, heartbeat miss — appends one CRC'd
+JSONL record to a :class:`~repro.durable.CheckpointLog` (re-exported
+here).  Appends reach the operating system at once; the service fsyncs
+(``commit``) before an ``ADMIT`` ticket leaves it and at lifecycle
+points, so a process crash loses nothing and a power loss loses nothing
+that was promised (``docs/deployment.md`` § "Durability contract").
+Because the planner and twin are deterministic functions of this op
+sequence, *replaying* the log through the very same mutation code
+rebuilds a twin whose :meth:`~repro.service.twin.DigitalTwin.state_hash`
+is identical to the live service's at the moment of the crash — the
+restart test's acceptance criterion.
 
 The first record is a header carrying the server parameters and twin
 thresholds, so a restart needs nothing but the log file.
@@ -16,13 +19,7 @@ thresholds, so a restart needs nothing but the log file.
 
 from __future__ import annotations
 
-import json
-import os
-import warnings
-import zlib
-from dataclasses import asdict
-from pathlib import Path
-
+from ..durable import CheckpointLog
 from .planner import IncrementalPlanner
 from .requests import EventRequest
 from .twin import DigitalTwin, TwinConfig
@@ -32,92 +29,6 @@ __all__ = ["CheckpointError", "CheckpointLog", "replay_ops"]
 
 class CheckpointError(Exception):
     """The log is unusable: missing header or inconsistent replay."""
-
-
-def _crc(op: dict) -> int:
-    """CRC-32 over the canonical serialization of ``op`` (crc key aside)."""
-    canonical = json.dumps(op, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canonical.encode("utf-8"))
-
-
-class CheckpointLog:
-    """Append-only durable op log (one JSON object per line)."""
-
-    def __init__(self, path: Path | str) -> None:
-        self.path = Path(path)
-
-    def exists(self) -> bool:
-        return self.path.exists() and self.path.stat().st_size > 0
-
-    def append(self, op: dict) -> None:
-        """Append one op durably; isolates a truncated final line first.
-
-        Each record carries a CRC-32 of its own canonical payload, so a
-        partially flushed line is *detectably* torn on restore — not
-        just unparseable-by-luck."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        prefix = ""
-        if self.path.exists() and self.path.stat().st_size:
-            with self.path.open("rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    prefix = "\n"
-        record = dict(op)
-        record["crc"] = _crc(op)
-        with self.path.open("a") as fh:
-            fh.write(prefix + json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def write_header(self, capacity: float, period: float, start: float,
-                     twin: TwinConfig, seed: int) -> None:
-        self.append({
-            "op": "init",
-            "capacity": capacity,
-            "period": period,
-            "start": start,
-            "twin": asdict(twin),
-            "seed": seed,
-        })
-
-    def load(self) -> list[dict]:
-        """All intact ops, each verified against its per-line CRC.
-
-        A line that fails to parse *or* parses but fails its CRC (a
-        torn partial flush, a bit flip) is skipped with a warning — a
-        crash artifact, not a reason to refuse the whole log.  Lines
-        written before the CRC discipline (no ``crc`` key) are accepted
-        unverified for back-compatibility."""
-        if not self.path.exists():
-            return []
-        ops: list[dict] = []
-        torn = 0
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    torn += 1
-                    continue
-                if not isinstance(record, dict):
-                    torn += 1
-                    continue
-                expected = record.pop("crc", None)
-                if expected is not None and expected != _crc(record):
-                    torn += 1
-                    continue
-                ops.append(record)
-        if torn:
-            warnings.warn(
-                f"checkpoint {self.path}: skipped {torn} torn/corrupt "
-                "record(s) (crash artifact — restoring from the intact "
-                "prefix)",
-                stacklevel=2,
-            )
-        return ops
 
 
 def replay_ops(ops: list[dict]) -> tuple[IncrementalPlanner, DigitalTwin,

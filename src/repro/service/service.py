@@ -18,9 +18,11 @@ requests.EventRequest`,
    finish in time is *cut* at its deadline and explicitly SHED — it is
    never allowed to miss silently.
 
-Every state mutation is written ahead to the JSONL checkpoint, so
-:meth:`AdmissionService.restore` rebuilds a byte-identical twin after a
-kill.  All waiting goes through the pluggable clock; under
+Every state mutation is written ahead to the JSONL checkpoint, and
+the checkpoint is committed (fsynced) before an ``ADMIT`` ticket is
+returned, so :meth:`AdmissionService.restore` rebuilds a byte-identical
+twin after a kill and never loses a promise to a power loss.  All
+waiting goes through the pluggable clock; under
 :class:`~repro.service.clock.VirtualClock` an entire service run is
 deterministic.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from ..faults.injectors import ExecutionSkew
 from ..overload.breaker import CircuitBreaker
@@ -158,10 +160,15 @@ class AdmissionService:
                         f"checkpoint {self.log.path} already exists — use "
                         "AdmissionService.restore() to resume it"
                     )
-                self.log.write_header(
-                    config.capacity, config.period, config.start,
-                    config.twin, seed,
-                )
+                self._log({
+                    "op": "init",
+                    "capacity": config.capacity,
+                    "period": config.period,
+                    "start": config.start,
+                    "twin": asdict(config.twin),
+                    "seed": seed,
+                })
+                self._commit()
         self.cache = IdempotencyCache(max_entries=config.idempotency_entries)
         self.detector: OverloadDetector | None = None
         if config.detector is not None:
@@ -170,6 +177,10 @@ class AdmissionService:
             ).add_action(_DegradeAction(self))
         self._breakers: dict[str, CircuitBreaker] = {}
         self._requests: dict[str, EventRequest] = {}   # in-flight registry
+        #: every id the checkpoint admitted before a restore: the
+        #: idempotency cache is not persisted, and a retired job's id
+        #: must not be admitted twice
+        self._restored_admits: set[str] = set()
         self._tasks: dict[str, asyncio.Task] = {}
         self._housekeeper: asyncio.Task | None = None
         self.draining = False
@@ -250,6 +261,10 @@ class AdmissionService:
             _resume=(planner, twin),
         )
         service.log = log
+        service._restored_admits = {
+            op["request"]["request_id"] for op in ops
+            if op.get("op") == "admit"
+        }
         service._degraded = planner.scale < 1.0 - _EPS
         return await service.start()
 
@@ -272,16 +287,19 @@ class AdmissionService:
         cached = self.cache.get(request.request_id)
         if cached is not None:
             return replace(cached, duplicate=True)
-        if request.request_id in self.planner.jobs:
-            # in flight but not cached — a checkpoint-resumed job (the
-            # idempotency cache is not persisted).  Still a duplicate:
-            # never admit the same id twice.
+        job = self.planner.jobs.get(request.request_id)
+        if job is not None or request.request_id in self._restored_admits:
+            # admitted but not cached — in flight, or admitted before a
+            # restore (the idempotency cache is not persisted) and maybe
+            # retired since.  Still a duplicate: never admit the same id
+            # twice.
             self.decisions[Decision.ADMIT.value] += 1
             return AdmissionTicket(
                 request.request_id, Decision.ADMIT, now,
-                predicted_finish=self.planner.jobs[
-                    request.request_id].predicted_finish,
-                detail="already in flight (resumed)", duplicate=True,
+                predicted_finish=job.predicted_finish if job else 0.0,
+                detail="already in flight (resumed)" if job
+                       else "already admitted (restored)",
+                duplicate=True,
             )
         if self.draining or self.killed:
             return self._settle(AdmissionTicket(
@@ -339,8 +357,10 @@ class AdmissionService:
                 predicted_finish=predicted,
                 deadline=now + request.relative_deadline, detail=detail,
             ))
-        # committed: log ahead, trace, observe, execute
+        # committed: log ahead (durably — the ticket is a promise),
+        # trace, observe, execute
         self._log({"op": "admit", "t": now, "request": request.to_dict()})
+        self._commit()
         self.trace.add_event(
             now, TraceEventKind.RELEASE, request.request_id,
             detail=f"cost={request.cost:g} deadline={job.deadline:g}"
@@ -653,6 +673,7 @@ class AdmissionService:
         now = self.clock.now()
         self.draining = True
         self._log({"op": "drain", "t": now})
+        self._commit()
         self.trace.add_event(
             now, TraceEventKind.MODE_CHANGE, "service", detail="draining"
         )
@@ -686,6 +707,7 @@ class AdmissionService:
             except asyncio.CancelledError:
                 pass
             self._housekeeper = None
+        self.close()
         return DrainReport(
             started_at=now, horizon=horizon,
             completed=self.completed - completed_before,
@@ -712,12 +734,15 @@ class AdmissionService:
     def kill(self, *, cancel_clock: bool = True) -> None:
         """Crash simulation: stop everything abruptly, mid-flight.
 
-        No draining, no final trace events — the checkpoint log is the
-        only survivor, exactly as in a real power-loss.  Pass
+        No draining, no final trace events, no commit — the checkpoint
+        log (every record already handed to the OS) is the only
+        survivor, exactly as in a process crash.  Pass
         ``cancel_clock=False`` when the clock is shared with sibling
         services (a fabric): killing one shard must not wake or cancel
         the others' sleepers."""
         self.killed = True
+        if self.log is not None:
+            self.log.close()
         for task in list(self._tasks.values()):
             task.cancel()
         if self._housekeeper is not None:
@@ -766,6 +791,17 @@ class AdmissionService:
     def _log(self, op: dict) -> None:
         if self.log is not None:
             self.log.append(op)
+
+    def _commit(self) -> None:
+        if self.log is not None:
+            self.log.commit()
+
+    def close(self) -> None:
+        """Commit the checkpoint and release its handle (the end of a
+        graceful shutdown; :meth:`drain` calls it)."""
+        if self.log is not None:
+            self.log.commit()
+            self.log.close()
 
     def finish(self, horizon: float | None = None):
         """Close the books: detector accounting plus the monitor sweep.

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace as _replace
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..sim import (
@@ -633,8 +632,8 @@ def run_multicore_overload_campaign(
     from ..experiments.campaign import (
         OverloadCampaignResult,
         RunPolicy,
-        _append_checkpoint,
-        _load_checkpoint,
+        _checkpoint,
+        _open_checkpoint,
         _overload_run_from_record,
         _parallel_map,
         default_overload_config,
@@ -651,10 +650,7 @@ def run_multicore_overload_campaign(
     if burst is None:
         burst = EventBurst(extra=3, probability=0.5, spacing=0.05)
     policy = run_policy if run_policy is not None else RunPolicy()
-    checkpointed = (
-        _load_checkpoint(policy.checkpoint_path)
-        if policy.checkpoint_path is not None else {}
-    )
+    log, checkpointed = _open_checkpoint(policy.checkpoint_path)
     worker_policy = _replace(policy, checkpoint_path=None)
     key = (float(params.n_cores), float(params.total_utilization))
     plan = FaultPlan(injectors=(burst,), seed=params.seed)
@@ -678,16 +674,20 @@ def run_multicore_overload_campaign(
     ))
 
     result = OverloadCampaignResult()
-    for slot, (mode, system_id, cached) in zip(pending, order):
-        if cached:
-            record = checkpointed[(mode, key, system_id)]
-        else:
-            record = next(fresh)
-            _append_checkpoint(policy.checkpoint_path, record)
-        result.records.append(record)
-        run = _overload_run_from_record(record)
-        if run is not None:
-            result.runs.append(run)
+    try:
+        for slot, (mode, system_id, cached) in zip(pending, order):
+            if cached:
+                record = checkpointed[(mode, key, system_id)]
+            else:
+                record = next(fresh)
+                _checkpoint(log, record)
+            result.records.append(record)
+            run = _overload_run_from_record(record)
+            if run is not None:
+                result.runs.append(run)
+    finally:
+        if log is not None:
+            log.close()
     return result
 
 
@@ -708,14 +708,14 @@ def run_multicore_campaign(
     ``multiprocessing`` pool with the master-seed fan-out preserved, so
     results are bit-identical to a sequential sweep; checkpoint lines
     (``run_policy.checkpoint_path``) are written by the parent only,
-    flushed and fsynced per record, and an existing checkpoint resumes.
+    committed (fsynced) per record, and an existing checkpoint resumes.
     ``cycle`` arms hyperperiod cycle detection on every run (only
     effective with ``server=None``: server-carrying systems stand down
     loudly, counted in :data:`repro.cycle.STAND_DOWNS`).
     """
     from ..experiments.campaign import (
-        _append_checkpoint,
-        _load_checkpoint,
+        _checkpoint,
+        _open_checkpoint,
         _parallel_map,
     )
 
@@ -724,12 +724,8 @@ def run_multicore_campaign(
             raise ValueError(
                 f"unknown mode {mode!r}; choose from {MULTICORE_MODES}"
             )
-    checkpoint_path: Path | None = (
+    log, checkpointed = _open_checkpoint(
         run_policy.checkpoint_path if run_policy is not None else None
-    )
-    checkpointed = (
-        _load_checkpoint(checkpoint_path)
-        if checkpoint_path is not None else {}
     )
     systems = []
     for system_id in range(params.nb_systems):
@@ -761,15 +757,19 @@ def run_multicore_campaign(
     )
     fresh_iter = iter(fresh)
     result = MulticoreCampaignResult(tables={m: [] for m in modes})
-    for slot, (mode, system_id) in zip(pending, order):
-        if slot is None:
-            record = checkpointed[(mode, key, system_id)]
-        else:
-            record = next(fresh_iter)
-            _append_checkpoint(checkpoint_path, record)
-        result.records.append(record)
-        if record.payload is not None:
-            result.tables[mode].append(
-                multicore_metrics_from_dict(record.payload)
-            )
+    try:
+        for slot, (mode, system_id) in zip(pending, order):
+            if slot is None:
+                record = checkpointed[(mode, key, system_id)]
+            else:
+                record = next(fresh_iter)
+                _checkpoint(log, record)
+            result.records.append(record)
+            if record.payload is not None:
+                result.tables[mode].append(
+                    multicore_metrics_from_dict(record.payload)
+                )
+    finally:
+        if log is not None:
+            log.close()
     return result
