@@ -256,7 +256,6 @@ def run_batched_campaign(
     mode: str = "auto",
     keep_runs: bool = True,
     progress: Callable[[BatchShardRecord], None] | None = None,
-    cycle: str = "off",
 ) -> BatchCampaignResult:
     """Sweep every set through the batched kernel, shard by shard.
 
@@ -271,24 +270,7 @@ def run_batched_campaign(
     :class:`BatchUnsupported` instead.  ``keep_runs=False`` drops the
     per-run metric tuples after aggregation (``SetMetrics.runs == ()``)
     to keep 10^5-system sweeps bounded.
-
-    ``cycle`` is accepted for driver parity with
-    :func:`~repro.experiments.campaign.run_campaign` but always stands
-    down: every batched system carries a Poisson aperiodic stream, which
-    makes hyperperiod fast-forwarding inapplicable.  Any value other
-    than ``"off"`` is counted in :data:`repro.cycle.STAND_DOWNS` and
-    (for ``"fastforward"``) logged, then the sweep proceeds unchanged.
     """
-    from ..sim.engine import CYCLE_MODES
-
-    if cycle not in CYCLE_MODES:
-        raise ValueError(
-            f"cycle must be one of {CYCLE_MODES}, got {cycle!r}"
-        )
-    if cycle != "off":
-        from ..cycle.tracker import _stand_down
-
-        _stand_down("batched-aperiodic-stream", cycle)
     if mode not in ("auto", "force"):
         raise ValueError(f"mode must be 'auto' or 'force', got {mode!r}")
     if shard_size < 1:

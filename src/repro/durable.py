@@ -16,7 +16,9 @@ the same everywhere:
   committed.  Callers commit exactly where a promise leaves the
   process (see ``docs/deployment.md`` § "Durability contract");
 * a torn final line left by an earlier crash is isolated on a line of
-  its own once, when the handle opens, never per append.
+  its own once, when the handle opens, never per append; a non-empty
+  file is then fsynced once, so bytes an earlier process left in the
+  page cache are durable before they count as committed.
 
 The module depends on nothing but the standard library, so sweeps that
 checkpoint import it without pulling in the service stack.
@@ -50,7 +52,8 @@ class CheckpointLog:
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         #: length in bytes of the file's durable prefix: its size when
-        #: the handle opened plus every record a :meth:`commit` covered.
+        #: the handle opened (fsynced there) plus every record a
+        #: :meth:`commit` covered.
         #: A power loss can cut the file anywhere past this offset.
         self.committed_offset = 0
         self._end = 0
@@ -63,7 +66,6 @@ class CheckpointLog:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         handle = open(self.path, "a+b")
         size = handle.seek(0, os.SEEK_END)
-        self.committed_offset = size
         if size:
             handle.seek(-1, os.SEEK_END)
             if handle.read(1) != b"\n":
@@ -73,6 +75,10 @@ class CheckpointLog:
                 handle.write(b"\n")
                 handle.flush()
                 size += 1
+            # a crashed writer's bytes may still sit only in the page
+            # cache: make them durable before calling them committed
+            os.fsync(handle.fileno())
+        self.committed_offset = size
         self._end = size
         self._handle = handle
         return handle

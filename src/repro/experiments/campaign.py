@@ -15,7 +15,6 @@ Both arms consume byte-identical workloads from
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import signal
 import threading
@@ -62,7 +61,7 @@ from ..durable import CheckpointLog
 from ..overload.metrics import OverloadReport, measure_overload
 from ..service.backoff import DEFAULT_BACKOFF
 from ..sim.servers.base import AperiodicServer
-from ..sim.trace import CompactTrace, ExecutionTrace
+from ..sim.trace import ExecutionTrace
 from ..workload import GeneratedSystem, GenerationParameters, PAPER_SETS, RandomSystemGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,8 +87,6 @@ __all__ = [
 ]
 
 ARMS = ("ps_sim", "ps_exec", "ds_sim", "ds_exec")
-
-logger = logging.getLogger("repro.experiments.campaign")
 
 
 class RunTimeout(Exception):
@@ -274,8 +271,6 @@ class SystemResult:
     jobs: list[AperiodicJob] = field(default_factory=list)
     #: monitor verdicts when the run was verified (``verify=True``)
     report: "VerificationReport | None" = None
-    #: cycle-detection outcome when ``cycle != "off"`` (repro.cycle)
-    cycle: "object | None" = None
 
 
 @dataclass
@@ -292,10 +287,6 @@ class CampaignResult:
         default_factory=dict
     )
     records: list[RunRecord] = field(default_factory=list)
-    #: systems routed to the per-system reference kernel because they
-    #: fell outside the batch envelope (``batch="auto"`` only; always 0
-    #: with ``batch="off"``)
-    batch_fallbacks: int = 0
 
     @property
     def failures(self) -> list[RunRecord]:
@@ -314,7 +305,6 @@ def simulate_system(system: GeneratedSystem,
                     verify: bool = False,
                     trace_mode: str | None = None,
                     kernel: str = "auto",
-                    cycle: str = "off",
                     ) -> SystemResult:
     """Run one system on RTSS with the ideal version of ``policy``.
 
@@ -330,12 +320,10 @@ def simulate_system(system: GeneratedSystem,
     (off = the byte-identical golden path).  ``trace_mode``/``kernel``
     select the columnar trace and the kernel fast path (see
     docs/performance.md); the defaults are byte-identical to the
-    historical behaviour.  ``cycle`` arms hyperperiod cycle detection
-    (:mod:`repro.cycle`) — note the paper's systems always carry an
-    aperiodic stream through a server, so fast-forward stands down here
-    by design (loudly, counted); the pure-periodic value lives in
-    direct kernel use, ``run_multicore_system(server=None)`` and the
-    long-horizon benches.
+    historical behaviour.  Hyperperiod fast-forward (:mod:`repro.cycle`)
+    is a :class:`~repro.sim.Simulation` option only: every system here
+    carries an aperiodic stream through a server, so it could never
+    engage.
     """
     server_cls = _SIM_SERVERS[policy]
     top = max(
@@ -358,7 +346,7 @@ def simulate_system(system: GeneratedSystem,
         )
     sim = Simulation(
         FixedPriorityPolicy(), enforcement=enforcement, monitors=monitors,
-        trace_mode=trace_mode, kernel=kernel, cycle=cycle,
+        trace_mode=trace_mode, kernel=kernel,
     )
     server.attach(sim, horizon=system.horizon)
     detector = None
@@ -393,7 +381,6 @@ def simulate_system(system: GeneratedSystem,
     )
     return SystemResult(
         metrics=measure_run(jobs), trace=trace, jobs=jobs, report=report,
-        cycle=sim._cycle_report,
     )
 
 
@@ -408,8 +395,6 @@ def execute_system(
     timer_drift_ppm: float = 0.0,
     overload: "OverloadConfig | None" = None,
     verify: bool = False,
-    trace_mode: str | None = None,
-    cycle: str = "off",
 ) -> SystemResult:
     """Run one system's framework implementation on the emulated VM.
 
@@ -420,33 +405,21 @@ def execute_system(
     declared costs; ``timer_drift_ppm`` makes the VM's release timers
     drift (see :mod:`repro.faults`); ``overload`` bounds the server's
     pending queue, installs one circuit breaker per event source and
-    drives degraded modes (see :mod:`repro.overload`).  The emulated VM
-    charges stateful runtime overheads, so it is never cycle-capable:
-    any ``cycle != "off"`` request stands down loudly and the run
-    proceeds in full.
+    drives degraded modes (see :mod:`repro.overload`).
     """
-    if cycle != "off":
-        from ..cycle.tracker import _stand_down
-
-        _stand_down("execution-arm", cycle)
     monitored = None
     if verify:
         # the VM charges ISR/dispatch overheads and its servers are
         # non-resumable, so only the scheduling-agnostic monitors apply
         from ..verify.invariants import (
             BreakerMonitor,
-            MonitoredCompactTrace,
             MonitoredTrace,
             MonotoneClockMonitor,
             NonOverlapMonitor,
             ReleaseAccountingMonitor,
         )
 
-        monitored_cls = (
-            MonitoredCompactTrace if trace_mode == "compact"
-            else MonitoredTrace
-        )
-        monitored = monitored_cls([
+        monitored = MonitoredTrace([
             NonOverlapMonitor(),
             MonotoneClockMonitor(),
             BreakerMonitor(),
@@ -455,10 +428,7 @@ def execute_system(
     vm = RTSJVirtualMachine(
         overhead=overhead if overhead is not None else OverheadModel(),
         timer_drift_ppm=timer_drift_ppm,
-        trace=(
-            monitored if monitored is not None
-            else CompactTrace() if trace_mode == "compact" else None
-        ),
+        trace=monitored,
     )
     params = TaskServerParameters.from_spec(
         system.server, priority=server_priority
@@ -555,43 +525,21 @@ def _run_arm(
     overhead: OverheadModel | None,
     enforcement: "EnforcementConfig | None",
     verify: bool = False,
-    trace_mode: str | None = None,
-    kernel: str = "auto",
-    cycle: str = "off",
 ) -> RunMetrics:
     policy = "polling" if arm.startswith("ps") else "deferrable"
     if arm.endswith("_sim"):
         result = simulate_system(
             system, policy, enforcement=enforcement, verify=verify,
-            trace_mode=trace_mode, kernel=kernel, cycle=cycle,
         )
     else:
         result = execute_system(
             system, policy, overhead, enforcement=enforcement, verify=verify,
-            trace_mode=trace_mode, cycle=cycle,
         )
     if result.report is not None and not result.report.ok:
         from ..verify.violations import VerificationError
 
         raise VerificationError(result.report.summary())
     return result.metrics
-
-
-def _arm_extras(verify: bool, trace_mode: str | None,
-                kernel: str, cycle: str = "off") -> tuple:
-    """Positional extras for a ``_run_arm`` call.
-
-    The performance/verification knobs are opt-in: with everything at its
-    default the historical 4-argument call shape is kept, so test
-    stand-ins with the old signature stay usable.
-    """
-    if cycle != "off":
-        return (verify, trace_mode, kernel, cycle)
-    if trace_mode is not None or kernel != "auto":
-        return (verify, trace_mode, kernel)
-    if verify:
-        return (verify,)
-    return ()
 
 
 def _open_checkpoint(
@@ -666,18 +614,17 @@ def _parallel_map(fn, tasks: list, workers: int,
 def _campaign_worker(task: tuple) -> RunRecord:
     """Pool entry point for one (arm, system) run of the paper campaign."""
     (hardened, arm, params, system, overhead, enforcement, fault_plan,
-     run_policy, verify, trace_mode, kernel, cycle) = task
+     run_policy, verify) = task
     if hardened:
         record = _guarded_run(
             arm, params, system, overhead, enforcement, fault_plan,
-            run_policy, verify, trace_mode, kernel, cycle,
+            run_policy, verify,
         )
         if run_policy.fail_fast and record.status != "ok":
             raise RunExhausted(record.to_dict())
         return record
     key = (params.task_density, params.std_deviation)
-    metrics = _run_arm(arm, system, overhead, enforcement,
-                       *_arm_extras(verify, trace_mode, kernel, cycle))
+    metrics = _run_arm(arm, system, overhead, enforcement, verify)
     return RunRecord(
         arm=arm, set_key=key, system_id=system.system_id,
         status="ok", metrics=metrics,
@@ -693,9 +640,6 @@ def _guarded_run(
     fault_plan: "FaultPlan | None",
     run_policy: RunPolicy,
     verify: bool = False,
-    trace_mode: str | None = None,
-    kernel: str = "auto",
-    cycle: str = "off",
 ) -> RunRecord:
     """Run one (arm, system) with timeout, bounded retry and seed-bump.
 
@@ -713,8 +657,7 @@ def _guarded_run(
         try:
             with _time_limit(run_policy.timeout_s):
                 metrics = _run_arm(
-                    arm, current, overhead, enforcement,
-                    *_arm_extras(verify, trace_mode, kernel, cycle),
+                    arm, current, overhead, enforcement, verify
                 )
             return RunRecord(
                 arm=arm, set_key=key, system_id=system.system_id,
@@ -751,10 +694,6 @@ def run_campaign(
     run_policy: RunPolicy | None = None,
     workers: int = 1,
     verify: bool = False,
-    trace_mode: str | None = None,
-    kernel: str = "auto",
-    batch: str = "off",
-    cycle: str = "off",
 ) -> CampaignResult:
     """Run the full evaluation; returns per-arm tables keyed like the
     paper's ``(density, std)`` columns.
@@ -771,28 +710,7 @@ def run_campaign(
     are bit-identical to a one-worker sweep; checkpoint lines are
     written, each committed (fsynced), by this parent process only.
     Everything defaults to the paper-faithful golden path.
-
-    ``batch`` routes the sim arms through the vectorized
-    structure-of-arrays kernel (:mod:`repro.batch`): ``"off"`` (default)
-    is the unchanged — byte-identical — per-system path; ``"auto"``
-    batch-serves every system inside the batch envelope (metrics are
-    bit-identical to the reference kernel) and falls back per system for
-    the rest, counted in :attr:`CampaignResult.batch_fallbacks` and
-    logged, never silently; ``"force"`` raises
-    :class:`repro.batch.BatchUnsupported` instead of falling back.
-    Fault plans mutate per-run costs, so any ``fault_plan`` disables
-    batching entirely (``auto`` falls back, ``force`` raises).
-
-    ``cycle`` threads hyperperiod cycle detection (:mod:`repro.cycle`)
-    into every per-system kernel run; the paper's server-carrying
-    systems stand down individually (loudly, counted in
-    ``repro.cycle.STAND_DOWNS``), so this knob is most useful combined
-    with pure-periodic workloads and long horizons.
     """
-    if batch not in ("off", "auto", "force"):
-        raise ValueError(
-            f"batch must be 'off', 'auto' or 'force', got {batch!r}"
-        )
     result = CampaignResult(tables={arm: {} for arm in arms})
     policy = run_policy if run_policy is not None else RunPolicy()
     log, checkpointed = _open_checkpoint(policy.checkpoint_path)
@@ -807,99 +725,34 @@ def run_campaign(
             systems = fault_plan.apply_all(systems)
         generated.append((params, systems))
 
-    # batch precompute: serve the sim arms' metrics from the vectorized
-    # kernel (bit-identical to the reference), parent-side, before the
-    # pool — unsupported systems stay on the per-system path
-    batch_metrics: dict[tuple, RunMetrics] = {}
-    if batch != "off":
-        from ..batch import BatchTables, BatchUnsupported, ensure_batchable
-        from ..batch.driver import _ARM_POLICY
-        from ..batch.kernel import simulate_batch
-
-        batch_arms = [a for a in arms if a in _ARM_POLICY]
-        if batch == "force" and set(arms) - set(batch_arms):
-            raise BatchUnsupported(
-                f"arms {sorted(set(arms) - set(batch_arms))} cannot be "
-                f"batched (batchable: {', '.join(sorted(_ARM_POLICY))})"
-            )
-        for params, systems in generated:
-            key = (params.task_density, params.std_deviation)
-            batchable: list[GeneratedSystem] = []
-            for system in systems:
-                try:
-                    if fault_plan is not None:
-                        raise BatchUnsupported(
-                            "fault plans mutate per-run costs; the "
-                            "batched kernel replays declared costs only"
-                        )
-                    ensure_batchable(
-                        system, _ARM_POLICY[batch_arms[0]]
-                        if batch_arms else "polling",
-                        enforcement=enforcement, verify=verify,
-                    )
-                    batchable.append(system)
-                except BatchUnsupported:
-                    if batch == "force":
-                        raise
-                    result.batch_fallbacks += 1
-            if batchable and batch_arms:
-                tables = BatchTables.from_systems(batchable)
-                for arm in batch_arms:
-                    batched = simulate_batch(tables, _ARM_POLICY[arm])
-                    for slot, system in enumerate(batchable):
-                        batch_metrics[(arm, key, system.system_id)] = (
-                            batched.run_metrics(slot)
-                        )
-        if result.batch_fallbacks:
-            logger.warning(
-                "batch=%r fell back to the per-system kernel for %d "
-                "system(s) outside the batch envelope",
-                batch, result.batch_fallbacks,
-            )
-
     # flatten into (slot per run) preserving the sequential sweep order;
-    # checkpointed runs keep their record, batch-served runs their
-    # precomputed metrics, the rest go to the pool
-    order: list[tuple[GenerationParameters, str, int, str]] = []
-    pending: list[tuple | None] = []
+    # checkpointed runs keep their record, the rest go to the pool
+    order: list[tuple[GenerationParameters, str, int, bool]] = []
+    tasks: list[tuple] = []
     for params, systems in generated:
         key = (params.task_density, params.std_deviation)
         for system in systems:
             for arm in arms:
-                if hardened and (arm, key, system.system_id) in checkpointed:
-                    source = "checkpoint"
-                elif (arm, key, system.system_id) in batch_metrics:
-                    source = "batch"
-                else:
-                    source = "pool"
-                order.append((params, arm, system.system_id, source))
-                pending.append(
-                    None if source != "pool" else (
+                cached = (
+                    hardened and (arm, key, system.system_id) in checkpointed
+                )
+                order.append((params, arm, system.system_id, cached))
+                if not cached:
+                    tasks.append((
                         hardened, arm, params, system, overhead,
                         enforcement, fault_plan, worker_policy, verify,
-                        trace_mode, kernel, cycle,
-                    )
-                )
-    fresh = iter(_parallel_map(
-        _campaign_worker, [t for t in pending if t is not None], workers
-    ))
+                    ))
+    fresh = iter(_parallel_map(_campaign_worker, tasks, workers))
 
     per_set: dict[tuple[float, float], dict[str, list[RunMetrics]]] = {}
     try:
-        for slot, (params, arm, system_id, source) in zip(pending, order):
+        for params, arm, system_id, cached in order:
             key = (params.task_density, params.std_deviation)
             per_arm = per_set.setdefault(key, {a: [] for a in arms})
-            if source == "checkpoint":
+            if cached:
                 record = checkpointed[(arm, key, system_id)]
             else:
-                if source == "batch":
-                    record = RunRecord(
-                        arm=arm, set_key=key, system_id=system_id,
-                        status="ok",
-                        metrics=batch_metrics[(arm, key, system_id)],
-                    )
-                else:
-                    record = next(fresh)
+                record = next(fresh)
                 if hardened:
                     _checkpoint(log, record)
             if hardened:

@@ -99,20 +99,10 @@ def main(argv: list[str] | None = None) -> int:
              "kernel frames (sorted by total time) afterwards",
     )
     parser.add_argument(
-        "--cycle", choices=("off", "detect", "fastforward"), default="off",
-        help="hyperperiod cycle handling for the simulation arms: "
-             "'detect' marks the first repeated kernel state (CYCLE trace "
-             "event), 'fastforward' additionally skips ahead whole "
-             "release-pattern windows with exact metric extrapolation; "
-             "ineligible runs stand down loudly and run in full "
-             "(default: off — byte-identical traces)",
-    )
-    parser.add_argument(
         "--horizon-multiplier", type=int, default=1, metavar="N",
         dest="horizon_multiplier",
         help="stretch every generated system's observation horizon N-fold "
-             "(long-horizon runs are where --cycle fastforward pays off; "
-             "default: 1)",
+             "(default: 1)",
     )
     verify_group = parser.add_argument_group("verify target")
     verify_group.add_argument(
@@ -150,10 +140,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     batch_group = parser.add_argument_group("batched kernel")
     batch_group.add_argument(
-        "--batch", choices=("off", "auto", "force"), default="off",
-        help="route the table targets' sim arms through the vectorized "
-             "batch kernel (metrics bit-identical; 'auto' falls back per "
-             "system outside the envelope, 'force' raises; default: off)",
+        "--batch", choices=("auto", "force"), default="auto",
+        help="envelope handling of the 'batch' sweep target: 'auto' falls "
+             "back to the per-system kernel for systems outside the batch "
+             "envelope, 'force' raises (default: auto)",
     )
     batch_group.add_argument(
         "--shard-size", type=int, default=512, metavar="N",
@@ -418,7 +408,6 @@ def _dispatch(args: argparse.Namespace,
                 sets=_scaled_sets(args.horizon_multiplier),
                 overhead=overhead, run_policy=run_policy,
                 workers=args.workers, verify=args.verify,
-                batch=args.batch, cycle=args.cycle,
             )
         except RunExhausted as exc:
             print(f"fail-fast: {exc}", file=sys.stderr)
@@ -515,7 +504,7 @@ def _run_multicore(args: argparse.Namespace, run_policy) -> int:
     )
     result = run_multicore_campaign(
         params, modes=modes, run_policy=run_policy, workers=args.workers,
-        verify=args.verify, cycle=args.cycle,
+        verify=args.verify,
     )
     print(format_multicore_campaign(result.tables))
     failures = [r for r in result.records if r.status != "ok"]
@@ -531,9 +520,7 @@ def _run_multicore(args: argparse.Namespace, run_policy) -> int:
         args.svg_dir.mkdir(parents=True, exist_ok=True)
         system = build_multicore_system(params, 0)
         for mode in modes:
-            run = run_multicore_system(
-                system, params.n_cores, mode, cycle=args.cycle
-            )
+            run = run_multicore_system(system, params.n_cores, mode)
             path = args.svg_dir / f"multicore_{mode}.svg"
             path.write_text(
                 svg_gantt_cores(run.trace, n_cores=params.n_cores),
@@ -560,7 +547,6 @@ def _run_verify(args: argparse.Namespace) -> int:
         shrink=not args.no_shrink,
         kernel=args.kernel,
         trace_mode=args.trace_mode,
-        cycle=args.cycle,
     )
     print(result.summary())
     for run in result.failures:
@@ -616,9 +602,8 @@ def _run_batch(args: argparse.Namespace) -> int:
             workers=args.workers,
             checkpoint_path=args.checkpoint,
             verify_fraction=args.verify_fraction,
-            mode="force" if args.batch == "force" else "auto",
+            mode=args.batch,
             keep_runs=False,
-            cycle=args.cycle,
         )
     except BatchVerificationError as exc:
         print(f"DIFFERENTIAL FAILURE: {exc}", file=sys.stderr)

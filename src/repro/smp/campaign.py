@@ -142,8 +142,6 @@ class MulticoreSystemResult:
     jobs: list[AperiodicJob] = field(default_factory=list)
     #: verification outcome when the run was monitored (``verify=True``)
     report: "VerificationReport | None" = None
-    #: cycle-detection report when the run used ``cycle != "off"``
-    cycle: "object | None" = None
 
 
 @dataclass
@@ -240,7 +238,6 @@ def run_multicore_system(
     verify: bool = False,
     trace_mode: str | None = None,
     kernel: str = "auto",
-    cycle: str = "off",
 ) -> MulticoreSystemResult:
     """Run one generated system under one multicore arm.
 
@@ -256,10 +253,7 @@ def run_multicore_system(
     conservation — and stores the outcome on the result's ``report``.
     ``trace_mode``/``kernel`` select the columnar trace and the lazy
     release-scheduling path (see docs/performance.md); defaults are
-    byte-identical to the historical behaviour.  ``cycle`` arms
-    hyperperiod cycle detection (:mod:`repro.cycle`); note that runs
-    carrying an aperiodic server stand down from fast-forwarding by
-    design — pass ``server=None`` (pure periodic scheduling) to benefit.
+    byte-identical to the historical behaviour.
     """
     if mode not in MULTICORE_MODES:
         raise ValueError(
@@ -273,11 +267,11 @@ def run_multicore_system(
     if mode in _HEURISTIC_OF_MODE:
         return _run_partitioned(
             system, n_cores, _HEURISTIC_OF_MODE[mode], mode, server,
-            enforcement, overload, verify, trace_mode, kernel, cycle,
+            enforcement, overload, verify, trace_mode, kernel,
         )
     return _run_global(
         system, n_cores, mode, server, enforcement, overload, verify,
-        trace_mode, kernel, cycle,
+        trace_mode, kernel,
     )
 
 
@@ -319,7 +313,6 @@ def _run_partitioned(
     verify: bool = False,
     trace_mode: str | None = None,
     kernel: str = "auto",
-    cycle: str = "off",
 ) -> MulticoreSystemResult:
     tasks = list(system.periodic_tasks)
     reserve = (
@@ -360,7 +353,6 @@ def _run_partitioned(
         monitors=monitors,
         trace_mode=trace_mode,
         kernel=kernel,
-        cycle=cycle,
     )
     for instance in servers:
         instance.attach(sim, horizon=system.horizon)
@@ -395,7 +387,7 @@ def _run_partitioned(
     )
     return MulticoreSystemResult(
         mode=mode, metrics=metrics, trace=trace, partition=partition,
-        jobs=jobs, report=report, cycle=sim._cycle_report,
+        jobs=jobs, report=report,
     )
 
 
@@ -409,7 +401,6 @@ def _run_global(
     verify: bool = False,
     trace_mode: str | None = None,
     kernel: str = "auto",
-    cycle: str = "off",
 ) -> MulticoreSystemResult:
     tasks = list(system.periodic_tasks)
     top = max((t.priority for t in tasks), default=0)
@@ -444,8 +435,7 @@ def _run_global(
         )
     sim = MulticoreSimulation(policy, n_cores=n_cores,
                               enforcement=enforcement, monitors=monitors,
-                              trace_mode=trace_mode, kernel=kernel,
-                              cycle=cycle)
+                              trace_mode=trace_mode, kernel=kernel)
     if instance is not None:
         instance.attach(sim, horizon=system.horizon)
     for task_spec in tasks:
@@ -467,7 +457,6 @@ def _run_global(
     )
     return MulticoreSystemResult(
         mode=mode, metrics=metrics, trace=trace, jobs=jobs, report=report,
-        cycle=sim._cycle_report,
     )
 
 
@@ -476,14 +465,7 @@ def _run_global(
 
 def _mc_worker(task: tuple) -> "object":
     """Pool entry point: run one (mode, system) with guard rails."""
-    (mode, params, system_id, system, server, enforcement, fault_plan,
-     run_policy, verify), cycle = task[:9], "off"
-    if len(task) > 9:  # tuples only grow when cycle != "off"
-        cycle = task[9]
-    return _guarded_mc_run(
-        mode, params, system_id, system, server, enforcement, fault_plan,
-        run_policy, verify, cycle,
-    )
+    return _guarded_mc_run(*task)
 
 
 def _guarded_mc_run(
@@ -496,7 +478,6 @@ def _guarded_mc_run(
     fault_plan: "FaultPlan | None",
     run_policy: "RunPolicy | None",
     verify: bool = False,
-    cycle: str = "off",
 ):
     """One hardened run -> a RunRecord (metrics carry the aggregate)."""
     import traceback
@@ -524,7 +505,7 @@ def _guarded_mc_run(
             with _time_limit(timeout_s):
                 result = run_multicore_system(
                     current, params.n_cores, mode, server=server,
-                    enforcement=enforcement, verify=verify, cycle=cycle,
+                    enforcement=enforcement, verify=verify,
                 )
                 if result.report is not None and not result.report.ok:
                     raise VerificationError(result.report.summary())
@@ -700,7 +681,6 @@ def run_multicore_campaign(
     run_policy: "RunPolicy | None" = None,
     workers: int = 1,
     verify: bool = False,
-    cycle: str = "off",
 ) -> MulticoreCampaignResult:
     """Run every generated system under every multicore arm.
 
@@ -709,9 +689,6 @@ def run_multicore_campaign(
     results are bit-identical to a sequential sweep; checkpoint lines
     (``run_policy.checkpoint_path``) are written by the parent only,
     committed (fsynced) per record, and an existing checkpoint resumes.
-    ``cycle`` arms hyperperiod cycle detection on every run (only
-    effective with ``server=None``: server-carrying systems stand down
-    loudly, counted in :data:`repro.cycle.STAND_DOWNS`).
     """
     from ..experiments.campaign import (
         _checkpoint,
@@ -747,11 +724,8 @@ def run_multicore_campaign(
             if (mode, key, system_id) in checkpointed:
                 pending.append(None)
                 continue
-            entry = (mode, params, system_id, system, server, enforcement,
-                     fault_plan, worker_policy, verify)
-            if cycle != "off":
-                entry = entry + (cycle,)
-            pending.append(entry)
+            pending.append((mode, params, system_id, system, server,
+                            enforcement, fault_plan, worker_policy, verify))
     fresh = _parallel_map(
         _mc_worker, [t for t in pending if t is not None], workers
     )

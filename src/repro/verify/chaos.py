@@ -253,13 +253,11 @@ def _run_dover_check(specs) -> VerificationReport:
 
 def _check_uni(system: GeneratedSystem, policy: str,
                oracles: bool, kernel: str = "auto",
-               trace_mode: str | None = None,
-               cycle: str = "off") -> VerificationReport:
+               trace_mode: str | None = None) -> VerificationReport:
     from ..experiments.campaign import simulate_system
 
     result = simulate_system(
         system, policy, verify=True, kernel=kernel, trace_mode=trace_mode,
-        cycle=cycle,
     )
     report = result.report
     assert report is not None
@@ -273,14 +271,13 @@ def _check_uni(system: GeneratedSystem, policy: str,
 
 def _check_uni_faulted(system: GeneratedSystem, policy: str, plan,
                        enforcement, kernel: str = "auto",
-                       trace_mode: str | None = None,
-                       cycle: str = "off") -> VerificationReport:
+                       trace_mode: str | None = None) -> VerificationReport:
     from ..experiments.campaign import simulate_system
 
     faulted = plan.apply(system)
     result = simulate_system(
         faulted, policy, enforcement=enforcement, verify=True,
-        kernel=kernel, trace_mode=trace_mode, cycle=cycle,
+        kernel=kernel, trace_mode=trace_mode,
     )
     assert result.report is not None
     return result.report
@@ -288,14 +285,13 @@ def _check_uni_faulted(system: GeneratedSystem, policy: str, plan,
 
 def _check_uni_overload(system: GeneratedSystem, policy: str,
                         plan, kernel: str = "auto",
-                        trace_mode: str | None = None,
-                        cycle: str = "off") -> VerificationReport:
+                        trace_mode: str | None = None) -> VerificationReport:
     from ..experiments.campaign import default_overload_config, simulate_system
 
     burst = plan.apply(system)
     result = simulate_system(
         burst, policy, overload=default_overload_config(), verify=True,
-        kernel=kernel, trace_mode=trace_mode, cycle=cycle,
+        kernel=kernel, trace_mode=trace_mode,
     )
     assert result.report is not None
     return result.report
@@ -303,13 +299,12 @@ def _check_uni_overload(system: GeneratedSystem, policy: str,
 
 def _check_multicore(system: GeneratedSystem, n_cores: int, mode: str,
                      server: str | None, kernel: str = "auto",
-                     trace_mode: str | None = None,
-                     cycle: str = "off") -> VerificationReport:
+                     trace_mode: str | None = None) -> VerificationReport:
     from ..smp.campaign import run_multicore_system
 
     result = run_multicore_system(
         system, n_cores, mode, server=server, verify=True,
-        kernel=kernel, trace_mode=trace_mode, cycle=cycle,
+        kernel=kernel, trace_mode=trace_mode,
     )
     assert result.report is not None
     return result.report
@@ -721,8 +716,7 @@ def _run_cycle_drill(index: int, flavor: str, seed: int,
 def _run_scenario(index: int, flavor: str, seed: int,
                   shrink: bool, shrink_budget: int,
                   kernel: str = "auto",
-                  trace_mode: str | None = None,
-                  cycle: str = "off") -> ChaosRunResult:
+                  trace_mode: str | None = None) -> ChaosRunResult:
     rng = PortableRandom(seed)
 
     if flavor == "fabric":
@@ -756,13 +750,13 @@ def _run_scenario(index: int, flavor: str, seed: int,
         system = _uni_system(rng, seed)
         check = lambda s: _check_uni(  # noqa: E731
             s, "polling", oracles=True, kernel=kernel,
-            trace_mode=trace_mode, cycle=cycle,
+            trace_mode=trace_mode,
         )
     elif flavor == "uni-deferrable":
         system = _uni_system(rng, seed)
         check = lambda s: _check_uni(  # noqa: E731
             s, "deferrable", oracles=True, kernel=kernel,
-            trace_mode=trace_mode, cycle=cycle,
+            trace_mode=trace_mode,
         )
     elif flavor == "uni-faults":
         system = _uni_system(rng, seed)
@@ -776,7 +770,7 @@ def _run_scenario(index: int, flavor: str, seed: int,
         check = (  # noqa: E731
             lambda s: _check_uni_faulted(
                 s, policy, plan, enforcement, kernel=kernel,
-                trace_mode=trace_mode, cycle=cycle,
+                trace_mode=trace_mode,
             )
         )
     elif flavor == "uni-overload":
@@ -794,7 +788,6 @@ def _run_scenario(index: int, flavor: str, seed: int,
         policy = "polling" if rng.random() < 0.5 else "deferrable"
         check = lambda s: _check_uni_overload(  # noqa: E731
             s, policy, plan, kernel=kernel, trace_mode=trace_mode,
-            cycle=cycle,
         )
     elif flavor == "mc-part":
         n_cores = rng.randint(2, 4)
@@ -804,7 +797,7 @@ def _run_scenario(index: int, flavor: str, seed: int,
         check = (  # noqa: E731
             lambda s: _check_multicore(
                 s, n_cores, mode, server, kernel=kernel,
-                trace_mode=trace_mode, cycle=cycle,
+                trace_mode=trace_mode,
             )
         )
     elif flavor == "mc-global":
@@ -815,7 +808,7 @@ def _run_scenario(index: int, flavor: str, seed: int,
         check = (  # noqa: E731
             lambda s: _check_multicore(
                 s, n_cores, mode, server, kernel=kernel,
-                trace_mode=trace_mode, cycle=cycle,
+                trace_mode=trace_mode,
             )
         )
     elif flavor == "differential":
@@ -865,7 +858,6 @@ def run_chaos_campaign(
     progress: Callable[[ChaosRunResult], None] | None = None,
     kernel: str = "auto",
     trace_mode: str | None = None,
-    cycle: str = "off",
 ) -> ChaosCampaignResult:
     """Run ``n_systems`` seeded chaos scenarios and report the failures.
 
@@ -880,10 +872,8 @@ def run_chaos_campaign(
     ``differential`` and ``fabric`` flavors always run with default
     knobs), so the
     whole monitor battery can be pointed at the fast path as its oracle.
-    ``cycle`` arms hyperperiod cycle handling on the monitored arms:
-    every monitored run stands down (monitors are a stand-down reason),
-    so this exercises the rails under the full battery — the dedicated
-    ``cycle`` flavor is where fast-forwarding actually engages.
+    The ``cycle`` flavor drives hyperperiod fast-forward on the kernels
+    directly (monitored runs could only stand down).
     """
     for flavor in flavors:
         if flavor not in CHAOS_FLAVORS:
@@ -899,7 +889,6 @@ def run_chaos_campaign(
         run = _run_scenario(
             index, flavor, _scenario_seed(seed, index), shrink,
             shrink_budget, kernel=kernel, trace_mode=trace_mode,
-            cycle=cycle,
         )
         result.runs.append(run)
         if progress is not None:

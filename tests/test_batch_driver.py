@@ -1,4 +1,4 @@
-"""The sharded batch driver and the ``run_campaign(batch=...)`` wiring."""
+"""The sharded batch driver for population-scale batched campaigns."""
 
 from __future__ import annotations
 
@@ -159,68 +159,3 @@ class TestDriver:
             )
         with pytest.raises(KeyError, match="unknown arm"):
             run_batched_campaign(sets=SMALL_SETS[:1]).table("nope")
-
-
-class TestRunCampaignBatchModes:
-    def test_auto_and_force_identical_to_off(self):
-        off = run_campaign(sets=SMALL_SETS, arms=SIM_ARMS, batch="off")
-        auto = run_campaign(sets=SMALL_SETS, arms=SIM_ARMS, batch="auto")
-        force = run_campaign(sets=SMALL_SETS, arms=SIM_ARMS, batch="force")
-        assert _runs(off.tables) == _runs(auto.tables) == _runs(force.tables)
-        assert off.batch_fallbacks == auto.batch_fallbacks == 0
-
-    def test_exec_arms_run_reference_path_under_auto(self):
-        auto = run_campaign(sets=SMALL_SETS[:1], batch="auto")
-        off = run_campaign(sets=SMALL_SETS[:1], batch="off")
-        assert _runs(auto.tables) == _runs(off.tables)
-        # exec arms are out of scope, not fallbacks
-        assert auto.batch_fallbacks == 0
-
-    def test_force_rejects_exec_arms(self):
-        with pytest.raises(BatchUnsupported, match="cannot be batched"):
-            run_campaign(sets=SMALL_SETS[:1], batch="force")
-
-    def test_fault_plan_disables_batching_loudly(self):
-        from repro.faults.injectors import FaultPlan, WcetOverrun
-
-        plan = FaultPlan(
-            injectors=(WcetOverrun(factor=2.0, probability=1.0),), seed=7
-        )
-        auto = run_campaign(
-            sets=SMALL_SETS[:1], arms=SIM_ARMS, fault_plan=plan,
-            batch="auto",
-        )
-        off = run_campaign(
-            sets=SMALL_SETS[:1], arms=SIM_ARMS, fault_plan=plan,
-            batch="off",
-        )
-        assert auto.batch_fallbacks == SMALL_SETS[0].nb_generation
-        assert _runs(auto.tables) == _runs(off.tables)
-        with pytest.raises(BatchUnsupported, match="fault plans"):
-            run_campaign(
-                sets=SMALL_SETS[:1], arms=SIM_ARMS, fault_plan=plan,
-                batch="force",
-            )
-
-    def test_invalid_batch_value_rejected(self):
-        with pytest.raises(ValueError, match="batch"):
-            run_campaign(sets=SMALL_SETS[:1], batch="fast")
-
-    def test_batch_records_checkpoint_like_pool_records(self, tmp_path):
-        from repro.experiments.campaign import RunPolicy
-
-        path = tmp_path / "runs.jsonl"
-        first = run_campaign(
-            sets=SMALL_SETS[:1], arms=SIM_ARMS, batch="auto",
-            run_policy=RunPolicy(checkpoint_path=path),
-        )
-        assert all(r.status == "ok" for r in first.records)
-        n_lines = len(path.read_text().splitlines())
-        assert n_lines == SMALL_SETS[0].nb_generation * len(SIM_ARMS)
-        # resuming (even with batch off) reuses the checkpointed records
-        resumed = run_campaign(
-            sets=SMALL_SETS[:1], arms=SIM_ARMS, batch="off",
-            run_policy=RunPolicy(checkpoint_path=path),
-        )
-        assert len(path.read_text().splitlines()) == n_lines
-        assert _runs(resumed.tables) == _runs(first.tables)

@@ -97,10 +97,10 @@ class TestFailureRecording:
     def test_crash_becomes_record_not_exception(self, monkeypatch):
         real = campaign._run_arm
 
-        def flaky(arm, system, overhead, enforcement):
+        def flaky(arm, system, overhead, enforcement, verify=False):
             if arm == "ps_exec" and system.system_id == 1:
                 raise RuntimeError("boom")
-            return real(arm, system, overhead, enforcement)
+            return real(arm, system, overhead, enforcement, verify)
 
         monkeypatch.setattr(campaign, "_run_arm", flaky)
         result = run_campaign(sets=SMALL, run_policy=RunPolicy())
@@ -114,7 +114,7 @@ class TestFailureRecording:
         assert result.tables["ps_exec"]
 
     def test_all_runs_failing_leaves_arm_empty(self, monkeypatch):
-        def doomed(arm, system, overhead, enforcement):
+        def doomed(arm, system, overhead, enforcement, verify=False):
             raise RuntimeError("nothing works")
 
         monkeypatch.setattr(campaign, "_run_arm", doomed)
@@ -125,7 +125,7 @@ class TestFailureRecording:
         assert result.tables["ps_sim"] == {}
 
     def test_unhardened_campaign_still_raises(self, monkeypatch):
-        def doomed(arm, system, overhead, enforcement):
+        def doomed(arm, system, overhead, enforcement, verify=False):
             raise RuntimeError("nothing works")
 
         monkeypatch.setattr(campaign, "_run_arm", doomed)
@@ -141,11 +141,11 @@ class TestRetry:
         real = campaign._run_arm
         calls = {"n": 0}
 
-        def flaky_once(arm, system, overhead, enforcement):
+        def flaky_once(arm, system, overhead, enforcement, verify=False):
             if arm == "ps_sim" and system.system_id == 0 and calls["n"] == 0:
                 calls["n"] += 1
                 raise RuntimeError("first attempt dies")
-            return real(arm, system, overhead, enforcement)
+            return real(arm, system, overhead, enforcement, verify)
 
         monkeypatch.setattr(campaign, "_run_arm", flaky_once)
         result = run_campaign(sets=SMALL, run_policy=RunPolicy(max_retries=2))
@@ -158,7 +158,7 @@ class TestRetry:
         assert not result.failures
 
     def test_retries_exhausted(self, monkeypatch):
-        def doomed(arm, system, overhead, enforcement):
+        def doomed(arm, system, overhead, enforcement, verify=False):
             raise RuntimeError("always")
 
         monkeypatch.setattr(campaign, "_run_arm", doomed)
@@ -173,7 +173,7 @@ class TestRetry:
 
 class TestTimeout:
     def test_hung_run_times_out(self, monkeypatch):
-        def hang(arm, system, overhead, enforcement):
+        def hang(arm, system, overhead, enforcement, verify=False):
             time.sleep(10)
 
         monkeypatch.setattr(campaign, "_run_arm", hang)
@@ -209,7 +209,7 @@ class TestCheckpoint:
         assert ckpt.exists()
         assert len(ckpt.read_text().splitlines()) == len(first.records)
 
-        def explode(arm, system, overhead, enforcement):
+        def explode(arm, system, overhead, enforcement, verify=False):
             raise AssertionError("must resume from the checkpoint")
 
         monkeypatch.setattr(campaign, "_run_arm", explode)
@@ -234,7 +234,7 @@ class TestCheckpoint:
         assert len(ckpt.read_text().splitlines()) == lines_once
 
     def test_failed_runs_are_checkpointed_too(self, tmp_path, monkeypatch):
-        def doomed(arm, system, overhead, enforcement):
+        def doomed(arm, system, overhead, enforcement, verify=False):
             raise RuntimeError("crash")
 
         monkeypatch.setattr(campaign, "_run_arm", doomed)

@@ -42,12 +42,7 @@ from repro.smp import (
     MulticoreSimulation,
 )
 from repro.workload.rng import PortableRandom
-from repro.workload.spec import (
-    AperiodicEventSpec,
-    GeneratedSystem,
-    PeriodicTaskSpec,
-    ServerSpec,
-)
+from repro.workload.spec import PeriodicTaskSpec, ServerSpec
 from test_engine_fastpath import random_specs, trace_key
 
 #: dyadic period pool (0.25-tu grid): every release, deadline and
@@ -82,17 +77,6 @@ def build_uni(specs, policy_cls, cycle, kernel="auto", miss="continue"):
     return sim
 
 
-_TINY_SYSTEM = GeneratedSystem(
-    system_id=0,
-    server=ServerSpec(capacity=2.0, period=6.0, priority=10),
-    events=(AperiodicEventSpec(event_id=1, release=1.0, declared_cost=0.5),),
-    horizon=12.0,
-    periodic_tasks=(
-        PeriodicTaskSpec(name="p", cost=1.0, period=4.0, priority=3),
-    ),
-)
-
-
 # -- the knob ----------------------------------------------------------------
 
 
@@ -105,12 +89,6 @@ class TestKnobValidation:
     def test_multicore_rejects_bad_value(self):
         with pytest.raises(ValueError, match="cycle"):
             MulticoreSimulation(GlobalEDFPolicy(), n_cores=2, cycle="warp")
-
-    def test_batch_driver_rejects_bad_value(self):
-        from repro.batch.driver import run_batched_campaign
-
-        with pytest.raises(ValueError, match="cycle"):
-            run_batched_campaign(cycle="warp")
 
     def test_modes_tuple(self):
         assert CYCLE_MODES == ("off", "detect", "fastforward")
@@ -480,23 +458,6 @@ class TestStandDowns:
         report, delta = _ineligible_reason(sim, until=3.5)
         assert report.reason == "horizon-shorter-than-hyperperiod"
         assert delta == 1
-
-    def test_simulate_system_stands_down_on_aperiodic_stream(self):
-        """The paper's systems always carry a served aperiodic stream,
-        so the simulation arm can never fast-forward — by design."""
-        from repro.experiments.campaign import simulate_system
-
-        result = simulate_system(_TINY_SYSTEM, cycle="fastforward")
-        assert result.cycle is not None
-        assert result.cycle.status == "ineligible"
-        assert result.cycle.reason == "aperiodic-jobs"
-
-    def test_execute_system_stands_down(self):
-        from repro.experiments.campaign import execute_system
-
-        before = STAND_DOWNS["execution-arm"]
-        execute_system(_TINY_SYSTEM, cycle="fastforward")
-        assert STAND_DOWNS["execution-arm"] == before + 1
 
     def test_stand_down_logs_only_for_fastforward(self, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.cycle"):

@@ -168,6 +168,40 @@ class TestCheckpointLog:
         assert again.committed_offset == log.committed_offset
         again.close()
 
+    def test_reopen_fsyncs_inherited_bytes_once(self, tmp_path,
+                                                 monkeypatch):
+        fsyncs = _fsync_counter(monkeypatch)
+        path = tmp_path / "log.jsonl"
+        fresh = CheckpointLog(path)
+        fresh.append({"op": "a"})        # a new file inherits nothing
+        fresh.close()
+        empty = tmp_path / "empty.jsonl"
+        empty.touch()
+        log = CheckpointLog(empty)
+        log.append({"op": "a"})          # nor does an empty one
+        log.close()
+        assert fsyncs == []
+
+        inherited = path.stat().st_size
+        again = CheckpointLog(path)
+        again.append({"op": "b"})
+        again.append({"op": "c"})
+        assert len(fsyncs) == 1          # once at open, not per append
+        assert again.committed_offset == inherited
+        again.commit()
+        assert len(fsyncs) == 2
+        again.close()
+
+        # a torn tail: the repair newline is covered by the same fsync
+        with open(path, "ab") as handle:
+            handle.write(b'{"op": "d"')
+        inherited = path.stat().st_size
+        torn = CheckpointLog(path)
+        torn.append({"op": "e"})
+        assert len(fsyncs) == 3
+        assert torn.committed_offset == inherited + 1
+        torn.close()
+
     def test_appended_records_reach_the_os_without_commit(self, tmp_path):
         log = CheckpointLog(tmp_path / "log.jsonl")
         log.append({"op": "a", "t": 1.5})

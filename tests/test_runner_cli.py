@@ -71,10 +71,6 @@ class TestBatchTarget:
         assert main(argv) == 0
         assert "(12 resumed)" in capsys.readouterr().out
 
-    def test_table_target_accepts_batch_flag(self, capsys):
-        assert main(["table2", "--batch", "auto"]) == 0
-        assert "Table 2." in capsys.readouterr().out
-
     def test_bad_sweep_arguments_rejected(self, capsys):
         assert main(["batch", "--sweep-systems", "0"]) == 1
         assert main(["batch", "--shard-size", "0"]) == 1
